@@ -7,7 +7,9 @@ Implements Figures 3-6 of the paper plus the appendix optimization
   "dualize and advance" loop. Maintain the family C of known minimal
   A,B-separators; repeatedly take a minimal transversal D of C and test
   whether the complement of D separates A,B; if so, reduce it to a new
-  minimal separator (Theorem 6.1 guarantees completeness).
+  minimal separator (Theorem 6.1 guarantees completeness). The minimal
+  transversals of C are kept between passes and each new separator is
+  folded in with one Berge step.
 - :meth:`MVDMiner.reduce_min_sep` -- ReduceMinSep (Fig 4): greedy
   shrink under a fixed global attribute ordering (the completeness
   proof of Theorem 6.2 requires the ordering to be the same across
@@ -34,7 +36,7 @@ from typing import Iterable, Sequence
 
 from repro.core.mvd import MVD
 from repro.entropy.base import FLOAT_TOL, EntropyEngine
-from repro.hypergraph.transversal import minimal_transversals
+from repro.hypergraph.transversal import berge_step, mask_order
 
 
 class DeadlineReached(Exception):
@@ -58,12 +60,15 @@ class Deadline:
 
 @dataclass
 class MinerResult:
-    """Output of a mining run; partial if ``timed_out``."""
+    """Output of a mining run; partial if ``timed_out`` or ``truncated``."""
 
     epsilon: float
     minseps: dict[tuple[str, str], list[frozenset]] = field(default_factory=dict)
     full_mvds: list[MVD] = field(default_factory=list)
     timed_out: bool = False
+    #: Some getFullMVDs search stopped at ``max_nodes_per_search`` with
+    #: partial results, so a separator test may have answered False.
+    truncated: bool = False
     elapsed: float = 0.0
     stats: dict = field(default_factory=dict)
 
@@ -76,15 +81,32 @@ class MinerResult:
         return len(self.full_mvds)
 
 
-_Node = tuple[frozenset, ...]
+#: A DFS node: the dependents of an MVD as bitmasks, in canonical order.
+_Node = tuple[int, ...]
 
 
-def _canon(parts: Iterable[frozenset]) -> _Node:
-    return tuple(sorted(parts, key=lambda p: tuple(sorted(p))))
+def _canon(parts: Iterable[int]) -> _Node:
+    """Order disjoint parts by their lowest bit, i.e. by their smallest
+    name (the engine numbers bits in sorted column order)."""
+    return tuple(sorted(parts, key=lambda p: p & -p))
+
+
+def _bits(m: int) -> list[int]:
+    """The single-bit masks of ``m``, lowest first."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low)
+        m ^= low
+    return out
 
 
 class MVDMiner:
-    """Mines ``M_eps`` (Eq. 11) over one relation via an entropy engine."""
+    """Mines ``M_eps`` (Eq. 11) over one relation via an entropy engine.
+
+    Attribute sets are int bitmasks of the engine (:meth:`EntropyEngine.mask`)
+    inside the miner; its public methods take and return column names.
+    """
 
     def __init__(
         self,
@@ -96,46 +118,116 @@ class MVDMiner:
         max_nodes_per_search: int = 50_000,
         deadline_s: float | None = None,
     ):
+        if epsilon < 0:
+            raise ValueError("epsilon must be non-negative")
         self.engine = engine
         self.eps = float(epsilon)
         # All threshold comparisons use eps + FLOAT_TOL (see entropy.base).
+        # As eps_eff > 0, the miner tests I > eps_eff on the raw entropy
+        # sum; clamping I at 0 first would not change the answer.
         self.eps_eff = self.eps + FLOAT_TOL
         self.optimized = optimized
         self.prune_nonfull = prune_nonfull
         self.max_nodes = max_nodes_per_search
         self.deadline = Deadline(deadline_s)
-        self._sep_memo: dict[tuple[frozenset, str, str], bool] = {}
+        self._sep_memo: dict[tuple[int, str, str], bool] = {}
         # Fixed global ordering p used by ReduceMinSep (Theorem 6.2).
         self.ordering: tuple[str, ...] = tuple(sorted(engine.columns))
+        self._all = engine.mask(engine.columns)
         self.nodes_explored = 0
+        self.truncated_searches = 0  # searches cut off by max_nodes
 
     # ------------------------------------------------------------------
     # getFullMVDs (Fig 6 / Fig 17)
     # ------------------------------------------------------------------
     def _closure(
-        self, key: frozenset, parts: list[frozenset], pair: tuple[str, str] | None
+        self, key: int, parts: list[int], ab: int, known: set | None = None
     ) -> _Node | None:
         """Pairwise-consistency closure (Fig 16): merge every dependent
-        pair with I(Ci;Cj|key) > eps; None if A,B get merged."""
+        pair with I(Ci;Cj|key) > eps; None if a merged part holds both
+        bits of ``ab`` (the A,B pair; 0 for none).
+
+        The scan merges the first dependent pair in list order into the
+        earlier part and starts over, so a part keeps growing and later
+        tests ask the oracle for larger, cheaper-to-compose attribute
+        sets. ``known`` holds pairs (earlier, later) of parts already
+        found independent, e.g. the untouched parts of a DFS parent; a
+        rescan skips them, so it costs set lookups, not entropy sums.
+        """
+        h = self.engine.h
+        eps = self.eps_eff
+        hk = h(key)
         parts = list(parts)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(parts)):
-                for j in range(i + 1, len(parts)):
-                    if self.engine.mutual_info(parts[i], parts[j], key) > self.eps_eff:
-                        if pair is not None:
-                            a, b = pair
-                            pi, pj = parts[i], parts[j]
-                            if (a in pi and b in pj) or (b in pi and a in pj):
-                                return None
-                        parts[i] = parts[i] | parts[j]
-                        del parts[j]
-                        changed = True
-                        break
-                if changed:
+        hs = [h(key | p) for p in parts]
+        known = set() if known is None else known
+        i = 0
+        while i < len(parts):
+            pi, hi = parts[i], hs[i]
+            for j in range(i + 1, len(parts)):
+                pj = parts[j]
+                if (pi, pj) in known:
+                    continue
+                hij = h(key | pi | pj)
+                # I(pi;pj|key), summed in the order of EntropyEngine.mutual_info
+                if hi + hs[j] - hij - hk > eps:
+                    merged = pi | pj
+                    if ab and merged & ab == ab:
+                        return None
+                    parts[i], hs[i] = merged, hij
+                    del parts[j], hs[j]
+                    i = 0
                     break
+                known.add((pi, pj))
+            else:
+                i += 1
         return _canon(parts)
+
+    def _search(self, key: int, ab: int, k: float) -> list[_Node]:
+        """The DFS of getFullMVDs on bitmasks: up to ``k`` satisfying
+        nodes with key ``key`` whose parts keep the bits of ``ab`` apart."""
+        singles = _bits(self._all & ~key)
+        if len(singles) < 2:
+            return []
+        root: _Node | None = tuple(singles)
+        if self.optimized:
+            root = self._closure(key, singles, ab)
+            if root is None or len(root) < 2:
+                return []
+        j_masks = self.engine.j_masks
+        found: list[_Node] = []
+        visited: set[_Node] = {root}
+        stack: list[_Node] = [root]
+        nodes = 0
+        while stack and len(found) < k:
+            self.deadline.check()
+            nodes += 1
+            self.nodes_explored += 1
+            if nodes > self.max_nodes:
+                self.truncated_searches += 1
+                break  # search budget; partial results, see MinerResult.truncated
+            parts = stack.pop()
+            if j_masks(key, parts) <= self.eps_eff:
+                found.append(parts)
+                continue
+            m = len(parts)
+            if m < 3:
+                continue  # a merge would leave a single dependent
+            for i in range(m):
+                for j in range(i + 1, m):
+                    merged = parts[i] | parts[j]
+                    if ab and merged & ab == ab:
+                        continue  # never merge A's and B's components
+                    others = [p for t, p in enumerate(parts) if t != i and t != j]
+                    child = _canon(others + [merged])
+                    if self.optimized:
+                        # ``parts`` is a closure, so ``others`` are pairwise independent.
+                        child = self._closure(key, child, ab, set(combinations(others, 2)))
+                        if child is None or len(child) < 2:
+                            continue
+                    if child not in visited:
+                        visited.add(child)
+                        stack.append(child)
+        return found
 
     def get_full_mvds(
         self,
@@ -147,55 +239,11 @@ class MVDMiner:
     ) -> list[MVD]:
         """Up to ``k`` full eps-MVDs with key ``key`` (separating ``pair``)."""
         key = frozenset(key)
-        rest = sorted(set(self.engine.columns) - key)
         if pair is not None and (pair[0] in key or pair[1] in key):
             raise ValueError("pair attributes must not be in the key")
-        if len(rest) < 2:
-            return []
-        root: _Node | None = _canon([frozenset([c]) for c in rest])
-        if self.optimized:
-            root = self._closure(key, list(root), pair)
-            if root is None:
-                return []
-            if len(root) < 2 or (pair is not None and not _separated(root, pair)):
-                return []
-        found: list[_Node] = []
-        visited: set[_Node] = {root}
-        stack: list[_Node] = [root]
-        nodes = 0
-        while stack and len(found) < k:
-            self.deadline.check()
-            nodes += 1
-            self.nodes_explored += 1
-            if nodes > self.max_nodes:
-                break  # search budget; partial results (documented heuristic)
-            parts = stack.pop()
-            if self.engine.j_parts(key, parts) <= self.eps_eff:
-                found.append(parts)
-                continue
-            m = len(parts)
-            for i in range(m):
-                for j in range(i + 1, m):
-                    if pair is not None:
-                        a, b = pair
-                        pi, pj = parts[i], parts[j]
-                        if (a in pi and b in pj) or (b in pi and a in pj):
-                            continue  # never merge A's and B's components
-                    child_parts = [p for t, p in enumerate(parts) if t not in (i, j)]
-                    child_parts.append(parts[i] | parts[j])
-                    if len(child_parts) < 2:
-                        continue
-                    child: _Node | None = _canon(child_parts)
-                    if self.optimized:
-                        child = self._closure(key, list(child), pair)
-                        if child is None or len(child) < 2:
-                            continue
-                        if pair is not None and not _separated(child, pair):
-                            continue
-                    if child not in visited:
-                        visited.add(child)
-                        stack.append(child)
-        mvds = [MVD.of(key, parts) for parts in found]
+        eng = self.engine
+        found = self._search(eng.mask(key), 0 if pair is None else eng.mask(pair), k)
+        mvds = [MVD.of(key, [eng.names(p) for p in parts]) for parts in found]
         do_prune = self.prune_nonfull if prune_nonfull is None else prune_nonfull
         if do_prune and len(mvds) > 1:
             mvds = [
@@ -208,12 +256,16 @@ class MVDMiner:
     # ------------------------------------------------------------------
     def separates(self, x: Iterable[str], a: str, b: str) -> bool:
         x = frozenset(x)
-        memo_key = (x, a, b) if a < b else (x, b, a)
+        eng = self.engine
+        xm = eng.mask(x)
+        memo_key = (xm, a, b) if a < b else (xm, b, a)
         hit = self._sep_memo.get(memo_key)
         if hit is not None:
             return hit
         # Necessary condition (Prop. 5.1): I(A;B|X) <= J of any separating MVD.
-        if self.engine.mutual_info({a}, {b}, x) > self.eps_eff:
+        h = eng.h
+        am, bm = eng.bit[a], eng.bit[b]
+        if h(xm | am) + h(xm | bm) - h(xm | am | bm) - h(xm) > self.eps_eff:
             ans = False
         else:
             ans = bool(self.get_full_mvds(x, (a, b), k=1, prune_nonfull=False))
@@ -245,19 +297,30 @@ class MVDMiner:
         separator as soon as it is discovered, so deadline aborts still
         report partial progress."""
         c: list[frozenset] = sink if sink is not None else []
-        universe = frozenset(set(self.engine.columns) - {a, b})
+        eng = self.engine
+        universe = frozenset(set(eng.columns) - {a, b})
         if not self.separates(universe, a, b):
             return c
         c.append(self.reduce_min_sep(universe, a, b))
-        processed: set[frozenset] = set()
+        u = eng.mask(universe)
+        order = mask_order(len(eng.columns))
+        # Minimal transversals of c[:folded], kept between passes: each
+        # pass folds in only the separators found since the last one.
+        trs: list[int] = [0]
+        folded = 0
+        processed: set[int] = set()
         while True:
+            for sep in c[folded:]:
+                trs = berge_step(trs, eng.mask(sep))
+            folded = len(c)
+            trs.sort(key=order)
             progressed = False
-            for d in minimal_transversals(c):
+            for d in trs:
                 self.deadline.check()
                 if d in processed:
                     continue
                 processed.add(d)
-                comp = universe - d
+                comp = eng.names(u & ~d)
                 if self.separates(comp, a, b):
                     x = self.reduce_min_sep(comp, a, b)
                     if x not in c:
@@ -276,8 +339,10 @@ class MVDMiner:
         *,
         minseps_only: bool = False,
     ) -> MinerResult:
-        """Run the full miner; returns partial results on deadline."""
+        """Run the full miner; returns partial results on deadline (see
+        ``MinerResult.timed_out`` and ``MinerResult.truncated``)."""
         t0 = time.monotonic()
+        truncated_before = self.truncated_searches
         res = MinerResult(epsilon=self.eps)
         if pairs is None:
             pairs = list(combinations(sorted(self.engine.columns), 2))
@@ -296,14 +361,12 @@ class MVDMiner:
                             res.full_mvds.append(m)
         except DeadlineReached:
             res.timed_out = True
+        res.truncated = self.truncated_searches > truncated_before
         res.elapsed = time.monotonic() - t0
         res.stats = {
             "nodes_explored": self.nodes_explored,
+            "truncated_searches": self.truncated_searches,
             **self.engine.cache_info(),
         }
         return res
 
-
-def _separated(parts: _Node, pair: tuple[str, str]) -> bool:
-    a, b = pair
-    return not any(a in p and b in p for p in parts)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.mvd import MVD
@@ -46,28 +46,51 @@ class EntropyEngine(ABC):
         if len(set(self.columns)) != len(self.columns):
             raise ValueError("duplicate column names")
         self.n_rows = int(n_rows)
-        self._cache: dict[frozenset, float] = {frozenset(): 0.0}
+        # Attribute sets in the hot path are int bitmasks; bit i stands
+        # for the i-th column in sorted order, so ordering disjoint masks
+        # by their lowest bit orders them by their smallest name.
+        self.bit: dict[str, int] = {c: 1 << i for i, c in enumerate(sorted(self.columns))}
+        self._name = {b: c for c, b in self.bit.items()}
+        self._memo: dict[int, float] = {0: 0.0}
         self.entropy_computations = 0  # cache misses (actual work)
         self.entropy_calls = 0  # all requests
+
+    # -- attribute sets as bitmasks -------------------------------------
+    def mask(self, cols: Iterable[str]) -> int:
+        """The bitmask of a set of column names."""
+        try:
+            return sum(map(self.bit.__getitem__, _fs(cols)))
+        except KeyError:
+            unknown = _fs(cols) - set(self.columns)
+            raise KeyError(f"unknown columns {sorted(unknown)}") from None
+
+    def names(self, m: int) -> frozenset:
+        """The column names of a bitmask."""
+        out = []
+        while m:
+            low = m & -m
+            out.append(self._name[low])
+            m ^= low
+        return frozenset(out)
 
     # -- core oracle ---------------------------------------------------
     @abstractmethod
     def _entropy(self, cols: frozenset) -> float:
         """Compute H(cols) in bits for a non-empty ``cols``."""
 
+    def h(self, m: int) -> float:
+        """Memoized H of the attribute set with bitmask ``m``."""
+        self.entropy_calls += 1
+        v = self._memo.get(m)
+        if v is None:
+            v = self._entropy(self.names(m))
+            self.entropy_computations += 1
+            self._memo[m] = v
+        return v
+
     def entropy(self, cols: Iterable[str]) -> float:
         """Memoized H(cols); H(emptyset) = 0."""
-        fs = _fs(cols)
-        self.entropy_calls += 1
-        h = self._cache.get(fs)
-        if h is None:
-            unknown = fs - set(self.columns)
-            if unknown:
-                raise KeyError(f"unknown columns {sorted(unknown)}")
-            h = self._entropy(fs)
-            self.entropy_computations += 1
-            self._cache[fs] = h
-        return h
+        return self.h(self.mask(cols))
 
     # -- derived measures ----------------------------------------------
     def mutual_info(self, Y: Iterable[str], Z: Iterable[str], X: Iterable[str] = ()) -> float:
@@ -76,13 +99,8 @@ class EntropyEngine(ABC):
         Y and Z need not be disjoint from X (``H`` is defined on unions),
         but callers in the miner always pass disjoint sets.
         """
-        X, Y, Z = _fs(X), _fs(Y), _fs(Z)
-        i = (
-            self.entropy(X | Y)
-            + self.entropy(X | Z)
-            - self.entropy(X | Y | Z)
-            - self.entropy(X)
-        )
+        x, y, z = self.mask(X), self.mask(Y), self.mask(Z)
+        i = self.h(x | y) + self.h(x | z) - self.h(x | y | z) - self.h(x)
         return max(0.0, i)
 
     def j_mvd(self, mvd: "MVD") -> float:
@@ -90,24 +108,25 @@ class EntropyEngine(ABC):
         return self.j_parts(mvd.key, mvd.deps)
 
     def j_parts(self, key: Iterable[str], deps: Iterable[frozenset]) -> float:
-        key = _fs(key)
-        deps = list(deps)
-        total = key.union(*deps) if deps else key
-        j = (
-            sum(self.entropy(key | d) for d in deps)
-            - (len(deps) - 1) * self.entropy(key)
-            - self.entropy(total)
-        )
+        return self.j_masks(self.mask(key), [self.mask(d) for d in deps])
+
+    def j_masks(self, key: int, deps: Sequence[int]) -> float:
+        """:meth:`j_parts` on bitmasks."""
+        total = key
+        for d in deps:
+            total |= d
+        h = self.h
+        j = sum(h(key | d) for d in deps) - (len(deps) - 1) * h(key) - h(total)
         return max(0.0, j)
 
     def j_tree(self, bags: list[frozenset], edges: list[tuple[int, int]]) -> float:
         """Lee's measure of a join tree (Eq. 6)."""
-        omega = frozenset().union(*bags)
-        j = (
-            sum(self.entropy(b) for b in bags)
-            - sum(self.entropy(bags[u] & bags[v]) for (u, v) in edges)
-            - self.entropy(omega)
-        )
+        m = [self.mask(b) for b in bags]
+        omega = 0
+        for b in m:
+            omega |= b
+        h = self.h
+        j = sum(h(b) for b in m) - sum(h(m[u] & m[v]) for (u, v) in edges) - h(omega)
         return max(0.0, j)
 
     def j_schema(self, bags: Iterable[frozenset]) -> float:
@@ -129,7 +148,7 @@ class EntropyEngine(ABC):
 
     def cache_info(self) -> dict:
         return {
-            "cached": len(self._cache),
+            "cached": len(self._memo),
             "calls": self.entropy_calls,
             "computations": self.entropy_computations,
         }

@@ -59,16 +59,12 @@ def _combine(p1: _Partition, p2: _Partition) -> _Partition:
         return _ALL_SINGLETON
     pair = c1[valid].astype(np.int64) * n2 + c2[valid]
     codes, _ = pd.factorize(pair)
-    counts = np.bincount(codes)
-    keep = counts >= 2
-    k = int(keep.sum())
-    if k == 0:
+    sub, k, counts = _strip(codes, np.bincount(codes))
+    if sub is None:
         return _ALL_SINGLETON
-    remap = np.full(len(counts), -1, dtype=np.int64)
-    remap[keep] = np.arange(k)
     out = np.full(c1.shape, -1, dtype=np.int32)
-    out[valid] = remap[codes]
-    return out, k, counts[keep].astype(np.int64)
+    out[valid] = sub
+    return out, k, counts
 
 
 class LocalPLIEngine(EntropyEngine):

@@ -61,3 +61,55 @@ def naive_entropy(pdf: pd.DataFrame, cols) -> float:
     n = len(pdf)
     counts = pdf.groupby(list(cols), observed=True).size().to_numpy()
     return math.log2(n) - sum(c * math.log2(c) for c in counts) / n
+
+
+def restart_closure(engine, eps_eff: float, key: frozenset, parts, pair=None):
+    """Reference pairwise-consistency closure (Fig 16) on named sets:
+    after every merge, rescan all pairs from the start. Returns the
+    parts sorted by their sorted names, or None if A,B get merged."""
+    parts = list(parts)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(parts)):
+            for j in range(i + 1, len(parts)):
+                if engine.mutual_info(parts[i], parts[j], key) > eps_eff:
+                    if pair is not None:
+                        a, b = pair
+                        pi, pj = parts[i], parts[j]
+                        if (a in pi and b in pj) or (b in pi and a in pj):
+                            return None
+                    parts[i] = parts[i] | parts[j]
+                    del parts[j]
+                    changed = True
+                    break
+            if changed:
+                break
+    return tuple(sorted(parts, key=lambda p: tuple(sorted(p))))
+
+
+def redualizing_min_seps(miner, a: str, b: str) -> list[frozenset]:
+    """Reference MineMinSeps (Fig 5): dualize the whole family C anew on
+    every pass, with the miner's own separator test."""
+    from repro.hypergraph.transversal import minimal_transversals
+
+    universe = frozenset(set(miner.engine.columns) - {a, b})
+    if not miner.separates(universe, a, b):
+        return []
+    c = [miner.reduce_min_sep(universe, a, b)]
+    processed: set[frozenset] = set()
+    while True:
+        progressed = False
+        for d in minimal_transversals(c):
+            if d in processed:
+                continue
+            processed.add(d)
+            comp = universe - d
+            if miner.separates(comp, a, b):
+                x = miner.reduce_min_sep(comp, a, b)
+                if x not in c:
+                    c.append(x)
+                    progressed = True
+                    break
+        if not progressed:
+            return c

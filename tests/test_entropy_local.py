@@ -120,3 +120,42 @@ def test_prefix_composition_order_invariance(seed):
         e2.entropy(cols)
     for cols in q1:
         assert e1.entropy(cols) == pytest.approx(e2.entropy(cols), abs=1e-12)
+
+
+def _combine_reference(p1, p2):
+    """Composition with its own remap/keep step, as _combine had before
+    it reused _strip."""
+    c1, n1, _ = p1
+    c2, n2, _ = p2
+    if c1 is None or c2 is None:
+        return (None, 0, None)
+    valid = (c1 >= 0) & (c2 >= 0)
+    if not valid.any():
+        return (None, 0, None)
+    pair = c1[valid].astype(np.int64) * n2 + c2[valid]
+    codes, _ = pd.factorize(pair)
+    counts = np.bincount(codes)
+    keep = counts >= 2
+    k = int(keep.sum())
+    if k == 0:
+        return (None, 0, None)
+    remap = np.full(len(counts), -1, dtype=np.int64)
+    remap[keep] = np.arange(k)
+    out = np.full(c1.shape, -1, dtype=np.int32)
+    out[valid] = remap[codes]
+    return out, k, counts[keep].astype(np.int64)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_combine_bit_identical_to_reference(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 200))
+    a = rng.integers(0, int(rng.integers(1, n + 1)), n)
+    b = rng.integers(0, int(rng.integers(1, n + 1)), n)
+    pa, pb = _factorize_strip(a), _factorize_strip(b)
+    got, want = _combine(pa, pb), _combine_reference(pa, pb)
+    assert got[1] == want[1]
+    for g, w in ((got[0], want[0]), (got[2], want[2])):
+        assert (g is None) == (w is None)
+        if g is not None:
+            assert g.dtype == w.dtype and np.array_equal(g, w)

@@ -175,3 +175,15 @@ def test_minseps_only_skips_phase2():
     res = MVDMiner(LocalPLIEngine(pdf), 0.3).mine(minseps_only=True)
     assert res.full_mvds == []
     assert res.n_minseps > 0
+
+
+def test_node_budget_truncation_is_reported():
+    from repro.datasets import planted_relation
+
+    pdf = planted_relation(7, 80, seed=1)
+    res = MVDMiner(LocalPLIEngine(pdf), 0.1, max_nodes_per_search=1).mine()
+    assert res.truncated and not res.timed_out
+    assert res.stats["truncated_searches"] > 0
+    full = MVDMiner(LocalPLIEngine(pdf), 0.1).mine()
+    assert not full.truncated
+    assert full.stats["truncated_searches"] == 0
