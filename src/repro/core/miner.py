@@ -22,9 +22,9 @@ Implements Figures 3-6 of the paper plus the appendix optimization
   be applied eagerly.
 
 Deviations from the pseudocode, documented in DESIGN.md: a visited set
-over canonical partitions (the merge graph is a DAG), and an optional
-post-filter dropping returned MVDs strictly refined by other returned
-MVDs (the paper's traversal can emit non-full satisfying MVDs).
+over canonical partitions (the merge graph is a DAG), and a post-filter
+dropping returned MVDs strictly refined by other returned MVDs (the
+paper's traversal can emit non-full satisfying MVDs).
 """
 from __future__ import annotations
 
@@ -114,7 +114,6 @@ class MVDMiner:
         epsilon: float,
         *,
         optimized: bool = True,
-        prune_nonfull: bool = True,
         max_nodes_per_search: int = 50_000,
         deadline_s: float | None = None,
     ):
@@ -127,7 +126,6 @@ class MVDMiner:
         # sum; clamping I at 0 first would not change the answer.
         self.eps_eff = self.eps + FLOAT_TOL
         self.optimized = optimized
-        self.prune_nonfull = prune_nonfull
         self.max_nodes = max_nodes_per_search
         self.deadline = Deadline(deadline_s)
         self._sep_memo: dict[tuple[int, str, str], bool] = {}
@@ -235,17 +233,20 @@ class MVDMiner:
         pair: tuple[str, str] | None = None,
         k: float = math.inf,
         *,
-        prune_nonfull: bool | None = None,
+        prune_nonfull: bool = True,
     ) -> list[MVD]:
-        """Up to ``k`` full eps-MVDs with key ``key`` (separating ``pair``)."""
+        """Up to ``k`` full eps-MVDs with key ``key`` (separating ``pair``).
+
+        ``prune_nonfull`` drops a returned MVD strictly refined by another
+        returned one; :meth:`separates` needs only whether one exists.
+        """
         key = frozenset(key)
         if pair is not None and (pair[0] in key or pair[1] in key):
             raise ValueError("pair attributes must not be in the key")
         eng = self.engine
         found = self._search(eng.mask(key), 0 if pair is None else eng.mask(pair), k)
         mvds = [MVD.of(key, [eng.names(p) for p in parts]) for parts in found]
-        do_prune = self.prune_nonfull if prune_nonfull is None else prune_nonfull
-        if do_prune and len(mvds) > 1:
+        if prune_nonfull and len(mvds) > 1:
             mvds = [
                 m for m in mvds if not any(o.strictly_refines(m) for o in mvds)
             ]

@@ -29,6 +29,8 @@ class SparkGroupByEntropyEngine(EntropyEngine):
         super().__init__(cols, self.df.count())
 
     def _entropy(self, cols: frozenset) -> float:
+        if not self.n_rows:
+            return 0.0  # an empty relation, as in entropy_from_group_sizes
         # Stable projection order so plans (and shuffle keys) are deterministic.
         proj = [c for c in self.columns if c in cols]
         row = (

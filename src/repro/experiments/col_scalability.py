@@ -11,7 +11,8 @@ import pandas as pd
 
 from repro import datasets
 from repro.core.miner import MVDMiner
-from repro.experiments.common import EngineFactory, fmt_runtime, local_engine, write_markdown
+from repro.entropy.local_pli import LocalPLIEngine
+from repro.experiments.common import fmt_count, fmt_runtime, write_markdown
 
 DEFAULT_DATASETS = ("voter_state", "reflns")
 DEFAULT_EPS = (0.0, 0.01, 0.1)
@@ -25,7 +26,6 @@ def run_col_scalability(
     rows_cap: int = 2_000,
     per_run_timeout_s: float = 15.0,
     noise: float = 0.02,
-    engine_factory: EngineFactory = local_engine,
 ) -> pd.DataFrame:
     rows = []
     for name in names:
@@ -33,7 +33,7 @@ def run_col_scalability(
         for frac in fractions:
             pdf = datasets.take_cols(full, frac)
             for eps in epsilons:
-                engine = engine_factory(pdf)
+                engine = LocalPLIEngine(pdf)
                 miner = MVDMiner(engine, eps, deadline_s=per_run_timeout_s)
                 res = miner.mine(minseps_only=True)
                 rows.append(
@@ -43,7 +43,7 @@ def run_col_scalability(
                         "frac": frac,
                         "eps": eps,
                         "runtime_s": fmt_runtime(res.elapsed, res.timed_out),
-                        "n_minseps": res.n_minseps,
+                        "n_minseps": fmt_count(res.n_minseps, res.truncated),
                     }
                 )
     df = pd.DataFrame(rows)

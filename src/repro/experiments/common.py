@@ -2,35 +2,15 @@
 
 Each experiment module exposes ``run_*`` functions that return a pandas
 DataFrame shaped like the paper's table/figure data, and can write it as
-a markdown table under ``results/``. Engine construction is pluggable:
-benchmarks use the driver-side PLI engine on generated pandas frames;
-``jobs/`` route the scan through Spark (``LocalPLIEngine.from_spark``).
+a markdown table under ``results/``. Every harness mines with the
+driver-side PLI engine over the generated pandas frame; ``python -m
+repro.experiments <name>`` runs one harness from the command line.
 """
 from __future__ import annotations
 
 import os
-from typing import Callable
 
 import pandas as pd
-
-from repro.entropy.base import EntropyEngine
-from repro.entropy.local_pli import LocalPLIEngine
-
-EngineFactory = Callable[[pd.DataFrame], EntropyEngine]
-
-
-def local_engine(pdf: pd.DataFrame) -> EntropyEngine:
-    """Default engine factory: driver-side PLI cache over a pandas frame."""
-    return LocalPLIEngine(pdf)
-
-
-def spark_engine_factory(spark) -> EngineFactory:
-    """Engine factory that routes the input scan through Spark."""
-
-    def make(pdf: pd.DataFrame) -> EntropyEngine:
-        return LocalPLIEngine.from_spark(spark.createDataFrame(pdf))
-
-    return make
 
 
 def results_dir() -> str:
@@ -61,3 +41,8 @@ def write_markdown(df: pd.DataFrame, name: str, title: str) -> str:
 def fmt_runtime(elapsed: float, timed_out: bool) -> str:
     """Paper-style runtime cell: seconds, or 'TL' when the limit hit."""
     return "TL" if timed_out else f"{elapsed:.2f}"
+
+
+def fmt_count(n: int, incomplete: bool) -> int | str:
+    """Count cell: ``n``, starred when it may be incomplete."""
+    return f"{n}*" if incomplete else n

@@ -16,7 +16,8 @@ import pandas as pd
 
 from repro import datasets
 from repro.core.miner import DeadlineReached, MVDMiner
-from repro.experiments.common import EngineFactory, local_engine, write_markdown
+from repro.entropy.local_pli import LocalPLIEngine
+from repro.experiments.common import write_markdown
 
 DEFAULT_DATASETS = ("hepatitis", "echocardiogram", "bridges", "school_results")
 
@@ -29,12 +30,11 @@ def run_fullmvds(
     noise: float = 0.03,
     minsep_deadline_s: float = 20.0,
     window_s: float = 10.0,
-    engine_factory: EngineFactory = local_engine,
 ) -> pd.DataFrame:
     rows = []
     for name in names:
         pdf = datasets.load(name, rows_cap=rows_cap, noise=noise)
-        engine = engine_factory(pdf)
+        engine = LocalPLIEngine(pdf)
         cols = sorted(pdf.columns)
         for eps in thresholds:
             miner = MVDMiner(engine, eps, deadline_s=minsep_deadline_s)

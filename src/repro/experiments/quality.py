@@ -14,7 +14,8 @@ from repro import datasets
 from repro.core.jointree import schema_int_width, schema_width
 from repro.core.miner import MVDMiner
 from repro.core.schema_miner import enumerate_schemas
-from repro.experiments.common import EngineFactory, local_engine, write_markdown
+from repro.entropy.local_pli import LocalPLIEngine
+from repro.experiments.common import write_markdown
 
 DEFAULT_DATASETS = ("image", "abalone", "adult", "breast_cancer")
 
@@ -28,12 +29,11 @@ def run_quality(
     mine_deadline_s: float = 20.0,
     enum_deadline_s: float = 10.0,
     max_schemas: int = 500,
-    engine_factory: EngineFactory = local_engine,
 ) -> pd.DataFrame:
     rows = []
     for name in names:
         pdf = datasets.load(name, rows_cap=rows_cap, noise=noise)
-        engine = engine_factory(pdf)
+        engine = LocalPLIEngine(pdf)
         for eps in thresholds:
             miner = MVDMiner(engine, eps, deadline_s=mine_deadline_s)
             res = miner.mine()

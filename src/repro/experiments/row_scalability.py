@@ -15,7 +15,8 @@ import pandas as pd
 
 from repro import datasets
 from repro.core.miner import MVDMiner
-from repro.experiments.common import EngineFactory, fmt_runtime, local_engine, write_markdown
+from repro.entropy.local_pli import LocalPLIEngine
+from repro.experiments.common import fmt_count, fmt_runtime, write_markdown
 
 DEFAULT_DATASETS = ("image", "four_square", "ditag_feature")
 DEFAULT_EPS = (0.0, 0.01, 0.1)
@@ -29,7 +30,6 @@ def run_row_scalability(
     base_rows: int = 50_000,
     per_run_timeout_s: float = 60.0,
     noise: float = 0.02,
-    engine_factory: EngineFactory = local_engine,
 ) -> pd.DataFrame:
     """Minimal-separator mining time per (dataset, fraction, eps)."""
     rows = []
@@ -39,7 +39,7 @@ def run_row_scalability(
             pdf = datasets.sample_rows(full, frac, seed=1)
             for eps in epsilons:
                 t0 = time.monotonic()
-                engine = engine_factory(pdf)
+                engine = LocalPLIEngine(pdf)
                 build_s = time.monotonic() - t0
                 miner = MVDMiner(engine, eps, deadline_s=per_run_timeout_s)
                 res = miner.mine(minseps_only=True)
@@ -50,7 +50,7 @@ def run_row_scalability(
                         "frac": frac,
                         "eps": eps,
                         "runtime_s": fmt_runtime(build_s + res.elapsed, res.timed_out),
-                        "n_minseps": res.n_minseps,
+                        "n_minseps": fmt_count(res.n_minseps, res.truncated),
                     }
                 )
     df = pd.DataFrame(rows)

@@ -12,7 +12,8 @@ import pandas as pd
 
 from repro import datasets
 from repro.core.miner import MVDMiner
-from repro.experiments.common import EngineFactory, fmt_runtime, local_engine, write_markdown
+from repro.entropy.local_pli import LocalPLIEngine
+from repro.experiments.common import fmt_count, fmt_runtime, write_markdown
 
 
 def run_table2(
@@ -22,7 +23,6 @@ def run_table2(
     epsilon: float = 0.0,
     noise: float = 0.02,
     names: list[str] | None = None,
-    engine_factory: EngineFactory = local_engine,
 ) -> pd.DataFrame:
     """One row per dataset: ours vs the paper's Table 2."""
     rows = []
@@ -30,7 +30,7 @@ def run_table2(
         if names is not None and s.name not in names:
             continue
         pdf = datasets.load(s.name, rows_cap=rows_cap, noise=noise)
-        engine = engine_factory(pdf)
+        engine = LocalPLIEngine(pdf)
         miner = MVDMiner(engine, epsilon, deadline_s=timeout_s)
         res = miner.mine()
         rows.append(
@@ -40,7 +40,7 @@ def run_table2(
                 "rows": len(pdf),
                 "paper_rows": s.paper_rows,
                 "runtime_s": fmt_runtime(res.elapsed, res.timed_out),
-                "full_mvds": res.n_full_mvds if not res.timed_out else f"{res.n_full_mvds}*",
+                "full_mvds": fmt_count(res.n_full_mvds, res.timed_out or res.truncated),
                 "minseps": res.n_minseps,
                 "paper_runtime_s": s.paper_runtime_s,
                 "paper_full_mvds": s.paper_full_mvds,

@@ -1,14 +1,36 @@
-"""Spark entropy engines vs the local reference, plus the DuckDB oracle
-check of the Eq. (5) aggregation query itself."""
+"""The Spark groupBy entropy engine vs the local reference, plus the
+DuckDB oracle check of the Eq. (5) aggregation query itself."""
+import pandas as pd
 import pytest
 
 from repro.entropy.local_pli import LocalPLIEngine
 from repro.entropy.spark_groupby import SparkGroupByEntropyEngine
-from repro.entropy.spark_pli import SparkPLIEntropyEngine
 from repro.oracle import assert_equivalent
 from tests.helpers import random_relation
 
 QUERIES = ["A", "B", "AB", "CD", "ABC", "ACD", "ABCD"]
+
+#: Relations the random one does not cover: NULL values (one group in
+#: both engines), no rows at all, and a single column.
+AWKWARD = {
+    "nulls": pd.DataFrame(
+        {
+            "A": ["a", "a", "b", "b", "c", "c"],
+            "B": [None, None, None, "x", "y", "z"],
+            "C": [None, None, "x", "x", "y", "y"],
+        }
+    ),
+    "empty": pd.DataFrame({"A": [], "B": []}, dtype=object),
+    "single": pd.DataFrame({"A": ["a", "a", "b", "c", "c", "c"]}),
+}
+
+CASES = [pytest.param(None, q, id=q) for q in QUERIES] + [
+    pytest.param(rel, q, id=f"{rel}-{q}")
+    for rel, qs in [
+        ("nulls", ["B", "C", "BC", "ABC"]), ("empty", ["A", "AB"]), ("single", ["A"]),
+    ]
+    for q in qs
+]
 
 
 @pytest.fixture(scope="module")
@@ -30,27 +52,21 @@ def gb_engine(data):
 
 
 @pytest.fixture(scope="module")
-def pli_engine(data):
-    _, df = data
-    eng = SparkPLIEntropyEngine(df, block_size=2, max_persisted=32)
-    yield eng
-    eng.close()
+def awkward_engines(spark):
+    engines = {}
+    for name, pdf in AWKWARD.items():
+        schema = ", ".join(f"{c} string" for c in pdf.columns)
+        engines[name] = (pdf, SparkGroupByEntropyEngine(spark.createDataFrame(pdf, schema)))
+    yield engines
+    for _, eng in engines.values():
+        eng.close()
 
 
-@pytest.mark.parametrize("cols", QUERIES)
-def test_groupby_engine_matches_local(data, gb_engine, cols):
-    pdf, _ = data
+@pytest.mark.parametrize("relation, cols", CASES)
+def test_groupby_engine_matches_local(data, gb_engine, awkward_engines, relation, cols):
+    pdf, eng = (data[0], gb_engine) if relation is None else awkward_engines[relation]
     local = LocalPLIEngine(pdf)
-    assert gb_engine.entropy(cols) == pytest.approx(local.entropy(cols), abs=1e-9)
-
-
-@pytest.mark.parametrize("cols", ["A", "AB", "ABC", "ABCD", "BD"])
-def test_spark_pli_engine_matches_local(data, pli_engine, cols):
-    """The CNT/TID dataflow (Sec. 6.3) must agree with direct Eq. (5),
-    across blocks (block_size=2 forces cross-block composition)."""
-    pdf, _ = data
-    local = LocalPLIEngine(pdf)
-    assert pli_engine.entropy(cols) == pytest.approx(local.entropy(cols), abs=1e-9)
+    assert eng.entropy(cols) == pytest.approx(local.entropy(cols), abs=1e-9)
 
 
 def test_from_spark_equals_from_pandas(data):
@@ -85,13 +101,6 @@ def test_groupby_aggregation_oracle(spark, data):
         """,
         r=pdf,
     )
-
-
-def test_spark_pli_tid_tables_prune_singletons(spark, pli_engine):
-    """Every base TID table only contains values occurring >= 2 times."""
-    t = pli_engine.tid_table(["A"])
-    counts = t.groupBy("val").count().toPandas()
-    assert (counts["count"] >= 2).all()
 
 
 def test_entropy_stats_track_cache(gb_engine):

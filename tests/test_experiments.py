@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro.core.miner import MinerResult
 from repro.experiments.accuracy import run_accuracy
 
 
@@ -12,7 +13,7 @@ def _isolated_results(tmp_path, monkeypatch):
     """Micro runs must not clobber the benchmark-scale results/*.md."""
     monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "results"))
 from repro.experiments.col_scalability import run_col_scalability
-from repro.experiments.common import results_dir, spark_engine_factory, to_markdown
+from repro.experiments.common import fmt_count, results_dir, to_markdown
 from repro.experiments.fullmvds import run_fullmvds
 from repro.experiments.nursery_usecase import mine_nursery_schemas, run_nursery
 from repro.experiments.quality import run_quality
@@ -35,14 +36,9 @@ def test_table2_timeout_reports_tl():
     assert df.iloc[0]["runtime_s"] == "TL"
 
 
-def test_table2_spark_engine(spark):
-    df = run_table2(
-        rows_cap=100,
-        timeout_s=5.0,
-        names=["sg_bioentry"],
-        engine_factory=spark_engine_factory(spark),
-    )
-    assert len(df) == 1
+def test_fmt_count_stars_partial_runs():
+    assert fmt_count(7, MinerResult(0.0).truncated) == 7
+    assert fmt_count(7, MinerResult(0.0, truncated=True).truncated) == "7*"
 
 
 def test_row_scalability_micro():
